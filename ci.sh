@@ -11,6 +11,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
 cargo test -q --workspace
 
+# Repository benchmark (perfbench/, its own package outside the workspace):
+# its unit tests, which pin that every timing decorator forwards each trait
+# method and that the printed metric lists match BENCHMARK.json.
+python3 perfbench/run.py --selftest
+
 # Serving layer: unit + stress + admission tests (point and node caches),
 # then a CI-sized serve_scale run that exercises the metrics JSON path end
 # to end — including the 4-worker tree-backed section, whose per-shard

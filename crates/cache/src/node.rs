@@ -12,11 +12,27 @@
 //!   points: a hit yields per-point distance *bounds* that tighten `ub_k` and
 //!   prune whole nodes before they are fetched; costs
 //!   `points · ⌈d·τ/64⌉ · 8` bytes per leaf.
+//! * [`LruNodeCache`] — the same compact leaves, admitted dynamically under
+//!   an LRU byte budget.
+//!
+//! Both compact caches bound a hit through one path, `leaf_bounds`: the
+//! per-query [`QueryTables`] the flat compact scan uses, built on a query's
+//! first leaf lookup and reused by every later leaf of that query, then one
+//! interleaved pass over the leaf's packed members
+//! ([`QueryTables::packed_bounds`]). A tree query probes thousands of
+//! leaves, so the interval math runs `d·nb` times per query instead of
+//! `d` times per member. The tables live in a thread-local buffer keyed by
+//! the scheme (a `Weak`, so a freed scheme's address cannot be reused
+//! under the key) and the query's exact `f32` bits; the bounds are
+//! bit-identical to [`ApproxScheme::bounds`], which schemes without
+//! per-dimension buckets keep using.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use hc_core::bounds::DistBounds;
+use hc_core::scan::{QueryTables, Simd};
 use hc_core::scheme::ApproxScheme;
 use hc_obs::MetricsRegistry;
 
@@ -159,6 +175,71 @@ impl NodeCache for ExactNodeCache {
     }
 }
 
+/// The tables one thread last built for leaf lookups, keyed by the scheme
+/// they were built against and the query's exact bits.
+#[derive(Default)]
+struct LeafTables {
+    /// The `Weak` keeps the scheme's allocation (not the scheme) alive, so
+    /// no later scheme can take its address while this key names it.
+    scheme: Option<Weak<dyn ApproxScheme>>,
+    query: Vec<u32>,
+    tables: QueryTables,
+}
+
+impl LeafTables {
+    fn built_for(&self, scheme: &Arc<dyn ApproxScheme>, q: &[f32]) -> bool {
+        self.scheme
+            .as_ref()
+            .is_some_and(|w| std::ptr::addr_eq(w.as_ptr(), Arc::as_ptr(scheme)))
+            && self.query.len() == q.len()
+            // Branch-free so the compare vectorizes; it runs on every lookup.
+            && self
+                .query
+                .iter()
+                .zip(q)
+                .fold(0, |diff, (&b, v)| diff | (b ^ v.to_bits()))
+                == 0
+    }
+}
+
+/// Bounds of every member of a compactly cached leaf — `n` packed points
+/// back to back in `words` — against `q`, in leaf order. The one leaf-bound
+/// path of [`CompactNodeCache`] and [`LruNodeCache`] (see the module docs).
+fn leaf_bounds(
+    scheme: &Arc<dyn ApproxScheme>,
+    q: &[f32],
+    words: &[u64],
+    n: usize,
+) -> Vec<DistBounds> {
+    debug_assert_eq!(q.len(), scheme.dim());
+    let Some(intervals) = scheme.scan_intervals() else {
+        let wpp = scheme.words_per_point();
+        return words
+            .chunks_exact(wpp)
+            .take(n)
+            .map(|w| scheme.bounds(q, w))
+            .collect();
+    };
+    thread_local! {
+        static TABLES: RefCell<LeafTables> = RefCell::new(LeafTables::default());
+    }
+    TABLES.with(|cell| {
+        let mut memo = cell.borrow_mut();
+        if !memo.built_for(scheme, q) {
+            // Drop the key first: a build that panics must not leave
+            // half-refilled tables under the previous query's key.
+            memo.scheme = None;
+            memo.tables.rebuild(q, &intervals, Simd::Auto);
+            memo.query.clear();
+            memo.query.extend(q.iter().map(|v| v.to_bits()));
+            memo.scheme = Some(Arc::downgrade(scheme));
+        }
+        let mut out = Vec::with_capacity(n);
+        memo.tables.packed_bounds(words, scheme.tau(), n, &mut out);
+        out
+    })
+}
+
 /// Compact leaf cache: per-leaf packed approximate points.
 pub struct CompactNodeCache {
     scheme: Arc<dyn ApproxScheme>,
@@ -225,11 +306,7 @@ impl NodeCache for CompactNodeCache {
             }
             Some((words, n)) => {
                 self.obs.hits.inc();
-                let wpp = self.scheme.words_per_point();
-                let bounds = (0..*n)
-                    .map(|i| self.scheme.bounds(q, &words[i * wpp..(i + 1) * wpp]))
-                    .collect();
-                NodeLookup::Bounds(bounds)
+                NodeLookup::Bounds(leaf_bounds(&self.scheme, q, words, *n))
             }
         }
     }
@@ -336,6 +413,126 @@ mod tests {
         assert_eq!(c.lookup(&[1.0], 0), NodeLookup::Miss);
         assert_eq!(c.used_bytes(), 0);
     }
+
+    /// A global scheme over `[lo, hi]` with `buckets` buckets.
+    fn scheme_over(d: usize, lo: f32, hi: f32, buckets: u32) -> Arc<dyn ApproxScheme> {
+        Arc::new(GlobalScheme::new(
+            equi_width(256, buckets),
+            Quantizer::new(lo, hi, 256),
+            d,
+        ))
+    }
+
+    fn members(d: usize, leaf: u32, n: usize) -> Vec<Vec<f32>> {
+        (0..n)
+            .map(|i| {
+                (0..d)
+                    .map(|j| ((leaf as usize * 7 + i * 3 + j * 5) % 23) as f32 * 0.5 - 1.0)
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Assert a lookup's bounds equal `ApproxScheme::bounds` bit for bit.
+    fn assert_reference(
+        got: NodeLookup,
+        scheme: &Arc<dyn ApproxScheme>,
+        q: &[f32],
+        pts: &[Vec<f32>],
+        ctx: &str,
+    ) {
+        let NodeLookup::Bounds(bounds) = got else {
+            panic!("{ctx}: expected a compact hit, got {got:?}");
+        };
+        assert_eq!(bounds.len(), pts.len(), "{ctx}");
+        for (i, (b, p)) in bounds.iter().zip(pts).enumerate() {
+            let want = scheme.bounds(q, &scheme.encode(p));
+            assert_eq!(b.lb.to_bits(), want.lb.to_bits(), "{ctx} member {i} lb");
+            assert_eq!(b.ub.to_bits(), want.ub.to_bits(), "{ctx} member {i} ub");
+        }
+    }
+
+    /// The thread's memoized tables serve a lookup only for the scheme and
+    /// the exact query bits they were built for: interleaving two caches
+    /// with different schemes across alternating queries — one a fresh
+    /// allocation equal in value, one a single ulp away — never returns a
+    /// bound that differs from the scalar reference.
+    #[test]
+    fn leaf_tables_follow_scheme_and_query_bits() {
+        let d = 19;
+        let (sa, sb) = (
+            scheme_over(d, -2.0, 12.0, 64),
+            scheme_over(d, -1.0, 9.0, 200),
+        );
+        let mut compact = CompactNodeCache::new(Arc::clone(&sa), 1 << 20);
+        let lru = LruNodeCache::new(Arc::clone(&sb), 1 << 20);
+        let leaves: Vec<(u32, Vec<Vec<f32>>)> = (0..4u32)
+            .map(|l| (l, members(d, l, 3 + l as usize * 4)))
+            .collect();
+        for (leaf, pts) in &leaves {
+            assert!(compact.try_fill(*leaf, pts.iter().map(|p| p.as_slice())));
+            lru.admit(*leaf, &mut pts.iter().map(|p| p.as_slice()));
+        }
+        let q0: Vec<f32> = (0..d).map(|j| j as f32 * 0.6 - 1.5).collect();
+        let q1: Vec<f32> = (0..d).map(|j| 9.0 - j as f32 * 0.4).collect();
+        let q0_copy = q0.clone();
+        let mut q0_ulp = q0.clone();
+        q0_ulp[4] = f32::from_bits(q0_ulp[4].to_bits() + 1);
+        assert_ne!(q0_ulp, q0);
+        let queries = [
+            ("q0", &q0),
+            ("copy", &q0_copy),
+            ("ulp", &q0_ulp),
+            ("q1", &q1),
+            ("q0 again", &q0),
+        ];
+        // The two schemes alternate leaf by leaf, so every lookup changes
+        // scheme under the same query.
+        for (name, q) in queries {
+            for (leaf, pts) in &leaves {
+                let ctx = format!("alternating {name} leaf {leaf}");
+                assert_reference(compact.lookup(q, *leaf), &sa, q, pts, &ctx);
+                assert_reference(lru.lookup(q, *leaf), &sb, q, pts, &ctx);
+            }
+        }
+        // One cache at a time, so consecutive queries meet the tables the
+        // previous query left for the same scheme.
+        for (name, q) in queries {
+            for (leaf, pts) in &leaves {
+                let ctx = format!("compact {name} leaf {leaf}");
+                assert_reference(compact.lookup(q, *leaf), &sa, q, pts, &ctx);
+            }
+        }
+        for (name, q) in queries {
+            for (leaf, pts) in &leaves {
+                let ctx = format!("lru {name} leaf {leaf}");
+                assert_reference(lru.lookup(q, *leaf), &sb, q, pts, &ctx);
+            }
+        }
+    }
+
+    /// A scheme dropped and replaced by a new one (same shape, different
+    /// buckets, quite possibly at the freed address) never inherits the
+    /// tables built for its predecessor.
+    #[test]
+    fn replaced_scheme_never_gets_stale_tables() {
+        let d = 11;
+        let q: Vec<f32> = (0..d).map(|j| j as f32 * 0.8 - 2.0).collect();
+        let pts = members(d, 3, 6);
+        for round in 0..8 {
+            let lo = -3.0 + round as f32;
+            let scheme = scheme_over(d, lo, lo + 10.0 + round as f32, 64);
+            let mut c = CompactNodeCache::new(Arc::clone(&scheme), 1 << 16);
+            assert!(c.try_fill(0, pts.iter().map(|p| p.as_slice())));
+            assert_reference(
+                c.lookup(&q, 0),
+                &scheme,
+                &q,
+                &pts,
+                &format!("round {round}"),
+            );
+        }
+    }
 }
 
 /// Dynamic (LRU) compact leaf cache: admits leaves as the search fetches
@@ -395,11 +592,7 @@ impl NodeCache for LruNodeCache {
             Some((words, n, stamp)) => {
                 self.obs.hits.inc();
                 *stamp = clock;
-                let wpp = self.scheme.words_per_point();
-                let bounds = (0..*n)
-                    .map(|i| self.scheme.bounds(q, &words[i * wpp..(i + 1) * wpp]))
-                    .collect();
-                NodeLookup::Bounds(bounds)
+                NodeLookup::Bounds(leaf_bounds(&self.scheme, q, words, *n))
             }
         }
     }

@@ -16,6 +16,9 @@
 //!    table entries into per-lane running sums ([`scan_slots`]). The inner
 //!    table-gather loop has a runtime-detected AVX2 path
 //!    (`_mm256_i32gather_pd`) with a scalar-blocked fallback.
+//! 3. **Per run of row-major points** — a cached tree leaf keeps its
+//!    members row-major; [`QueryTables::packed_bounds`] bounds them side by
+//!    side through the same tables, one accumulator pair per member.
 //!
 //! ## Layout
 //!
@@ -52,7 +55,7 @@
 use std::sync::OnceLock;
 
 use crate::bounds::{interval_contrib, DistBounds};
-use crate::codes::{pack_codes, PackedCodes};
+use crate::codes::{pack_codes, words_per_point, PackedCodes};
 
 /// Lanes (candidate slots) per block. 64 makes every dimension row exactly
 /// τ words: `64·τ` bits per row for any τ in `[1, 32]`.
@@ -62,6 +65,10 @@ pub const LANES: usize = 64;
 /// pays for itself; sparser blocks go through the per-lane table path
 /// (which is bit-identical, so this threshold is a pure perf knob).
 const MIN_BLOCK_GROUP: usize = 8;
+
+/// Points [`QueryTables::packed_bounds`] bounds side by side (its chunk
+/// dispatch has one arm per count up to this).
+const INTERLEAVE: usize = 8;
 
 /// Per-dimension bucket intervals a scheme exposes for table precompute.
 ///
@@ -113,13 +120,13 @@ impl ScanIntervals<'_> {
 /// Built once per query (cost `O(d·nb)`), then every candidate's bounds are
 /// `d` table-gathers instead of `d` interval computations. Rows are padded
 /// to a uniform `stride` (the max bucket count over dimensions) so kernels
-/// index with one multiply.
+/// index with one multiply. An entry stores its `lb²` and `ub²` side by
+/// side, so one gather touches one cache line, not two.
 #[derive(Default)]
 pub struct QueryTables {
     d: usize,
     stride: usize,
-    lb: Vec<f64>,
-    ub: Vec<f64>,
+    entries: Vec<[f64; 2]>,
 }
 
 impl QueryTables {
@@ -146,7 +153,7 @@ impl QueryTables {
         let d = q.len();
         let stride = (0..d).map(|j| intervals.buckets(j)).max().unwrap_or(0);
         assert!(
-            stride > 0 && stride <= i32::MAX as usize,
+            stride > 0 && stride <= i32::MAX as usize / 2,
             "bucket count {stride} unusable for table scan"
         );
         self.d = d;
@@ -156,26 +163,23 @@ impl QueryTables {
         // beyond it are never gathered (codes index below the bucket count),
         // so stale padding from a previous query is unobservable.
         let len = d * stride;
-        if self.lb.len() != len {
-            self.lb.clear();
-            self.lb.resize(len, 0.0);
-            self.ub.clear();
-            self.ub.resize(len, 0.0);
+        if self.entries.len() != len {
+            self.entries.clear();
+            self.entries.resize(len, [0.0; 2]);
         }
         let use_avx2 = simd.use_avx2();
         for (j, &qj) in q.iter().enumerate() {
             let buckets = intervals.row(j);
             let nb = buckets.len();
-            let row_lb = &mut self.lb[j * stride..j * stride + nb];
-            let row_ub = &mut self.ub[j * stride..j * stride + nb];
+            let row = &mut self.entries[j * stride..j * stride + nb];
             #[cfg(target_arch = "x86_64")]
             if use_avx2 {
-                unsafe { fill_row_avx2(qj, buckets, row_lb, row_ub) };
+                unsafe { fill_row_avx2(qj, buckets, row) };
                 continue;
             }
             #[cfg(not(target_arch = "x86_64"))]
             let _ = use_avx2;
-            fill_row_scalar(qj, buckets, row_lb, row_ub);
+            fill_row_scalar(qj, buckets, row);
         }
     }
 
@@ -191,6 +195,12 @@ impl QueryTables {
         self.stride
     }
 
+    /// Dimension `j`'s `[lb², ub²]` entries, one per bucket (plus padding).
+    #[inline]
+    fn row(&self, j: usize) -> &[[f64; 2]] {
+        &self.entries[j * self.stride..(j + 1) * self.stride]
+    }
+
     /// Bound a single candidate through the tables (the per-lane fallback
     /// for sparse blocks). Accumulates in dimension-ascending order — the
     /// same f64 addition sequence as `ApproxScheme::bounds`, hence
@@ -200,14 +210,89 @@ impl QueryTables {
         let mut lb_sq = 0.0f64;
         let mut ub_sq = 0.0f64;
         for (j, code) in codes.enumerate() {
-            let at = j * self.stride + code as usize;
-            lb_sq += self.lb[at];
-            ub_sq += self.ub[at];
+            let [lb, ub] = self.entries[j * self.stride + code as usize];
+            lb_sq += lb;
+            ub_sq += ub;
         }
         DistBounds {
             lb: lb_sq.sqrt(),
             ub: ub_sq.sqrt(),
         }
+    }
+
+    /// Bound `n` row-major packed points stored back to back in `words`
+    /// (`⌈d·τ/64⌉` words each, as [`pack_codes`] writes them — a cached
+    /// tree leaf's members) and append their bounds to `out` in order.
+    ///
+    /// Up to `INTERLEAVE` (8) points are bounded side by side, each with its
+    /// own `(lb², ub²)` accumulators: one pass per dimension extracts every
+    /// point's code at the same bit offset and adds its table entries. Each
+    /// point still sums its terms in dimension-ascending order — the
+    /// addition sequence of `ApproxScheme::bounds` — so the output is
+    /// bit-identical; interleaving only turns one latency-bound f64 add
+    /// chain per point into independent chains the core overlaps.
+    pub fn packed_bounds(&self, words: &[u64], tau: u32, n: usize, out: &mut Vec<DistBounds>) {
+        let wpp = words_per_point(self.d, tau);
+        let words = &words[..n * wpp];
+        out.reserve(n);
+        for chunk in words.chunks(INTERLEAVE * wpp) {
+            self.packed_chunk(chunk, wpp, tau, out);
+        }
+    }
+
+    /// [`QueryTables::packed_bounds`] for at most `INTERLEAVE` points.
+    /// The point count is a const parameter so the accumulators stay in
+    /// registers.
+    #[inline]
+    fn packed_chunk(&self, words: &[u64], wpp: usize, tau: u32, out: &mut Vec<DistBounds>) {
+        match words.len() / wpp {
+            1 => self.packed_chunk_n::<1>(words, wpp, tau, out),
+            2 => self.packed_chunk_n::<2>(words, wpp, tau, out),
+            3 => self.packed_chunk_n::<3>(words, wpp, tau, out),
+            4 => self.packed_chunk_n::<4>(words, wpp, tau, out),
+            5 => self.packed_chunk_n::<5>(words, wpp, tau, out),
+            6 => self.packed_chunk_n::<6>(words, wpp, tau, out),
+            7 => self.packed_chunk_n::<7>(words, wpp, tau, out),
+            8 => self.packed_chunk_n::<8>(words, wpp, tau, out),
+            m => unreachable!("chunk of {m} points"),
+        }
+    }
+
+    #[inline(always)]
+    fn packed_chunk_n<const M: usize>(
+        &self,
+        words: &[u64],
+        wpp: usize,
+        tau: u32,
+        out: &mut Vec<DistBounds>,
+    ) {
+        let t = tau as usize;
+        let mask = code_mask(tau);
+        let mut lb = [0.0f64; M];
+        let mut ub = [0.0f64; M];
+        for j in 0..self.d {
+            // Every point's code `j` sits at the same bit offset of its own
+            // words, so the word index, shift and straddle test are shared.
+            let bit = j * t;
+            let w = bit >> 6;
+            let shift = bit & 63;
+            let straddle = shift + t > 64;
+            let row = self.row(j);
+            for i in 0..M {
+                let at = i * wpp + w;
+                let mut v = words[at] >> shift;
+                if straddle {
+                    v |= words[at + 1] << (64 - shift);
+                }
+                let [l, u] = row[(v & mask) as usize];
+                lb[i] += l;
+                ub[i] += u;
+            }
+        }
+        out.extend((0..M).map(|i| DistBounds {
+            lb: lb[i].sqrt(),
+            ub: ub[i].sqrt(),
+        }));
     }
 }
 
@@ -506,11 +591,10 @@ pub struct ScanScratch {
 /// Fill one dimension's table row via [`interval_contrib`] — the reference
 /// for the vectorized fill below.
 #[inline]
-fn fill_row_scalar(q: f32, buckets: &[(f32, f32)], row_lb: &mut [f64], row_ub: &mut [f64]) {
-    for (b, &(lo, hi)) in buckets.iter().enumerate() {
+fn fill_row_scalar(q: f32, buckets: &[(f32, f32)], row: &mut [[f64; 2]]) {
+    for (entry, &(lo, hi)) in row.iter_mut().zip(buckets) {
         let (l, u) = interval_contrib(q, lo, hi);
-        row_lb[b] = l;
-        row_ub[b] = u;
+        *entry = [l, u];
     }
 }
 
@@ -522,11 +606,11 @@ fn fill_row_scalar(q: f32, buckets: &[(f32, f32)], row_lb: &mut [f64], row_ub: &
 /// itself.
 ///
 /// # Safety
-/// Caller must ensure AVX2 is available. `row_lb`/`row_ub` must be at least
+/// Caller must ensure AVX2 is available. `row` must be at least
 /// `buckets.len()` long (sliced so by the caller).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn fill_row_avx2(q: f32, buckets: &[(f32, f32)], row_lb: &mut [f64], row_ub: &mut [f64]) {
+unsafe fn fill_row_avx2(q: f32, buckets: &[(f32, f32)], row: &mut [[f64; 2]]) {
     use std::arch::x86_64::*;
     let n = buckets.len();
     let chunks = n / 4;
@@ -555,14 +639,17 @@ unsafe fn fill_row_avx2(q: f32, buckets: &[(f32, f32)], row_lb: &mut [f64], row_
         // near² is discarded (masked to +0.0) inside the interval, exactly
         // the scalar branch.
         let lb = _mm256_and_pd(outside, _mm256_mul_pd(near, near));
-        _mm256_storeu_pd(row_lb.as_mut_ptr().add(c * 4), lb);
-        _mm256_storeu_pd(row_ub.as_mut_ptr().add(c * 4), ub);
+        // Interleave into [lb0 ub0 lb1 ub1] [lb2 ub2 lb3 ub3].
+        let even = _mm256_unpacklo_pd(lb, ub); // lb0 ub0 lb2 ub2
+        let odd = _mm256_unpackhi_pd(lb, ub); // lb1 ub1 lb3 ub3
+        let out = row.as_mut_ptr().add(c * 4) as *mut f64;
+        _mm256_storeu_pd(out, _mm256_permute2f128_pd::<0x20>(even, odd));
+        _mm256_storeu_pd(out.add(4), _mm256_permute2f128_pd::<0x31>(even, odd));
     }
     for b in chunks * 4..n {
         let (lo, hi) = *buckets.get_unchecked(b);
         let (l, u) = interval_contrib(q, lo, hi);
-        *row_lb.get_unchecked_mut(b) = l;
-        *row_ub.get_unchecked_mut(b) = u;
+        *row.get_unchecked_mut(b) = [l, u];
     }
 }
 
@@ -581,17 +668,11 @@ unsafe fn _mm256_cvtps_pd_mask(m: std::arch::x86_64::__m128) -> std::arch::x86_6
 /// Scalar-blocked fallback; bit-identical to the AVX2 path because each
 /// lane's accumulator is independent.
 #[inline]
-fn gather_add_scalar(
-    codes: &[u32],
-    lb_row: &[f64],
-    ub_row: &[f64],
-    lb: &mut [f64],
-    ub: &mut [f64],
-) {
+fn gather_add_scalar(codes: &[u32], row: &[[f64; 2]], lb: &mut [f64], ub: &mut [f64]) {
     for l in 0..codes.len() {
-        let c = codes[l] as usize;
-        lb[l] += lb_row[c];
-        ub[l] += ub_row[c];
+        let [cl, cu] = row[codes[l] as usize];
+        lb[l] += cl;
+        ub[l] += cu;
     }
 }
 
@@ -603,30 +684,26 @@ fn gather_add_scalar(
 /// table rows (guaranteed by the encoder: codes < bucket count ≤ stride).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn gather_add_avx2(
-    codes: &[u32],
-    lb_row: &[f64],
-    ub_row: &[f64],
-    lb: &mut [f64],
-    ub: &mut [f64],
-) {
+unsafe fn gather_add_avx2(codes: &[u32], row: &[[f64; 2]], lb: &mut [f64], ub: &mut [f64]) {
     use std::arch::x86_64::*;
     let n = codes.len();
     let chunks = n / 4;
+    let base = row.as_ptr() as *const f64;
     for c in 0..chunks {
         let at = c * 4;
-        let idx = _mm_loadu_si128(codes.as_ptr().add(at) as *const __m128i);
-        let lb_g = _mm256_i32gather_pd::<8>(lb_row.as_ptr(), idx);
-        let ub_g = _mm256_i32gather_pd::<8>(ub_row.as_ptr(), idx);
+        // Entry `code` starts at f64 offset `2·code`.
+        let idx = _mm_slli_epi32::<1>(_mm_loadu_si128(codes.as_ptr().add(at) as *const __m128i));
+        let lb_g = _mm256_i32gather_pd::<8>(base, idx);
+        let ub_g = _mm256_i32gather_pd::<8>(base.add(1), idx);
         let lb_acc = _mm256_loadu_pd(lb.as_ptr().add(at));
         let ub_acc = _mm256_loadu_pd(ub.as_ptr().add(at));
         _mm256_storeu_pd(lb.as_mut_ptr().add(at), _mm256_add_pd(lb_acc, lb_g));
         _mm256_storeu_pd(ub.as_mut_ptr().add(at), _mm256_add_pd(ub_acc, ub_g));
     }
     for l in chunks * 4..n {
-        let c = *codes.get_unchecked(l) as usize;
-        *lb.get_unchecked_mut(l) += *lb_row.get_unchecked(c);
-        *ub.get_unchecked_mut(l) += *ub_row.get_unchecked(c);
+        let [cl, cu] = *row.get_unchecked(*codes.get_unchecked(l) as usize);
+        *lb.get_unchecked_mut(l) += cl;
+        *ub.get_unchecked_mut(l) += cu;
     }
 }
 
@@ -656,9 +733,9 @@ fn lane_bounds_hoisted(tables: &QueryTables, codes: &BlockedCodes, slot: usize) 
         if straddle {
             v |= words[at + 1] << (64 - shift);
         }
-        let k = j * stride + (v & mask) as usize;
-        lb_sq += tables.lb[k];
-        ub_sq += tables.ub[k];
+        let [l, u] = tables.entries[j * stride + (v & mask) as usize];
+        lb_sq += l;
+        ub_sq += u;
         at += codes.wpr;
     }
     DistBounds {
@@ -686,8 +763,7 @@ fn scan_block(
     for j in 0..codes.d {
         let row = codes.row(block, j);
         decode_row(row, codes.tau, n_lanes, &mut scratch.codes);
-        let lb_row = &tables.lb[j * tables.stride..(j + 1) * tables.stride];
-        let ub_row = &tables.ub[j * tables.stride..(j + 1) * tables.stride];
+        let table_row = tables.row(j);
         #[cfg(target_arch = "x86_64")]
         if use_avx2 {
             // SAFETY: `use_avx2` implies runtime AVX2 support; codes come
@@ -695,8 +771,7 @@ fn scan_block(
             unsafe {
                 gather_add_avx2(
                     &scratch.codes,
-                    lb_row,
-                    ub_row,
+                    table_row,
                     &mut scratch.lb_sq,
                     &mut scratch.ub_sq,
                 );
@@ -707,8 +782,7 @@ fn scan_block(
         let _ = use_avx2;
         gather_add_scalar(
             &scratch.codes,
-            lb_row,
-            ub_row,
+            table_row,
             &mut scratch.lb_sq,
             &mut scratch.ub_sq,
         );
@@ -928,11 +1002,9 @@ mod tests {
             let simd = QueryTables::build_with(&q, &ScanIntervals::Shared(&real), Simd::ForceAvx2);
             assert_eq!(scalar.d, simd.d);
             assert_eq!(scalar.stride, simd.stride);
-            for (i, (a, b)) in scalar.lb.iter().zip(&simd.lb).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "nb={nb} lb[{i}]");
-            }
-            for (i, (a, b)) in scalar.ub.iter().zip(&simd.ub).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "nb={nb} ub[{i}]");
+            for (i, (a, b)) in scalar.entries.iter().zip(&simd.entries).enumerate() {
+                assert_eq!(a[0].to_bits(), b[0].to_bits(), "nb={nb} lb[{i}]");
+                assert_eq!(a[1].to_bits(), b[1].to_bits(), "nb={nb} ub[{i}]");
             }
         }
     }

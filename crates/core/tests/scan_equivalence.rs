@@ -10,6 +10,10 @@
 //!   random schemes, queries, lanes-per-block, and ragged tail blocks;
 //! * AVX2 gather path ≡ scalar-blocked fallback under forced kernel
 //!   selection (`Simd::ForceAvx2` vs `Simd::Scalar`);
+//! * the leaf kernel (`QueryTables::packed_bounds`, row-major packed
+//!   members bounded side by side) ≡ scalar `ApproxScheme::bounds`, for
+//!   global and ragged per-dimension schemes, τ from 1 to 32, and leaf
+//!   sizes on both sides of the interleave width;
 //! * the 4-lane exact-distance kernel's AVX2 path ≡ its portable reference.
 //!
 //! CI runs this suite three times: default, `RUSTFLAGS="-C
@@ -282,4 +286,159 @@ fn scan_intervals_through_trait_object() {
     let want = scheme.bounds(&q, &words);
     let got = tables.lane_bounds(hc_core::codes::CodeIter::new(&words, scheme.tau(), 2));
     assert_bits_eq(got, want, "trait object");
+}
+
+/// Deterministic xorshift stream for the leaf battery.
+fn xorshift(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
+}
+
+/// Bucket count that makes a histogram's τ exactly `tau`.
+fn buckets_for(tau: u32) -> u32 {
+    if tau == 1 {
+        2
+    } else {
+        (1u32 << (tau - 1)) + 1 + (tau % 3) * ((1u32 << (tau - 1)) / 4)
+    }
+}
+
+/// Every member of `n`-point leaves through [`QueryTables::packed_bounds`]
+/// against `ApproxScheme::bounds` over the same packed words, bitwise, with
+/// the tables built by both the scalar and the dispatched fill. Leaf sizes
+/// 1–17 cross the interleave width twice.
+fn check_leaves(scheme: &dyn ApproxScheme, rows: &[Vec<f32>], queries: &[Vec<f32>], ctx: &str) {
+    let d = scheme.dim();
+    let tau = scheme.tau();
+    let intervals = scheme.scan_intervals().expect("per-dimension intervals");
+    for (qi, q) in queries.iter().enumerate() {
+        for simd in [Simd::Scalar, Simd::Auto] {
+            let tables = QueryTables::build_with(q, &intervals, simd);
+            let mut at = 0;
+            for n in 1..=17usize {
+                let mut words = Vec::new();
+                for i in 0..n {
+                    scheme.encode_into(&rows[(at + i) % rows.len()], &mut words);
+                }
+                at += n;
+                // Trailing words past the leaf must be ignored.
+                words.push(u64::MAX);
+                let mut out = vec![DistBounds::UNKNOWN];
+                tables.packed_bounds(&words, tau, n, &mut out);
+                assert_eq!(out.len(), n + 1, "{ctx}: appends after existing bounds");
+                let wpp = scheme.words_per_point();
+                for i in 0..n {
+                    let want = scheme.bounds(q, &words[i * wpp..(i + 1) * wpp]);
+                    assert_bits_eq(
+                        out[i + 1],
+                        want,
+                        &format!("{ctx} d={d} τ={tau} q={qi} {simd:?} n={n} member={i}"),
+                    );
+                }
+            }
+        }
+    }
+}
+
+fn leaf_rows(d: usize, count: usize, lo: f32, hi: f32, seed: u64) -> Vec<Vec<f32>> {
+    let mut s = seed | 1;
+    (0..count)
+        .map(|_| {
+            (0..d)
+                .map(|_| lo + (hi - lo) * (xorshift(&mut s) % 10_000) as f32 / 10_000.0)
+                .collect()
+        })
+        .collect()
+}
+
+/// Global-histogram leaves for τ ∈ {1, 3, 7, 8, 12, 16}: codes straddle
+/// words at every τ that does not divide 64, and queries fall inside,
+/// between and outside the buckets.
+#[test]
+fn packed_bounds_global_scheme_bit_identical() {
+    for tau in [1u32, 3, 7, 8, 12, 16] {
+        let buckets = buckets_for(tau);
+        let n_dom = buckets.next_power_of_two().max(256);
+        // Enough dimensions to span several words, fewer at τ = 16 where
+        // each table row holds tens of thousands of buckets.
+        let d = if tau >= 12 { 7 } else { 37 };
+        let scheme = GlobalScheme::new(
+            equi_width(n_dom, buckets),
+            Quantizer::new(0.0, 100.0, n_dom),
+            d,
+        );
+        assert_eq!(scheme.tau(), tau);
+        let rows = leaf_rows(d, 40, 0.0, 100.0, u64::from(tau) * 7919);
+        let mut queries = leaf_rows(d, 2, -20.0, 120.0, u64::from(tau) * 104_729);
+        queries.push(rows[3].clone());
+        check_leaves(&scheme, &rows, &queries, "global");
+    }
+}
+
+/// Per-dimension histograms with ragged bucket counts (so the tables pad
+/// short rows to the stride), for the same τ sweep minus the widest.
+#[test]
+fn packed_bounds_ragged_individual_scheme_bit_identical() {
+    for tau in [1u32, 3, 7, 8, 12] {
+        let d = 23;
+        let top = buckets_for(tau);
+        let n_dom = top.next_power_of_two().max(256);
+        let mut hists = Vec::new();
+        let mut quants = Vec::new();
+        for j in 0..d {
+            // Dimension 0 carries the full τ; the rest shrink unevenly.
+            let b = if j == 0 {
+                top
+            } else {
+                (top - (j as u32 * 37) % top).max(1)
+            };
+            hists.push(equi_width(n_dom, b));
+            quants.push(Quantizer::new(-(j as f32), 50.0 + j as f32, n_dom));
+        }
+        let scheme = IndividualScheme::new(hists, quants);
+        assert_eq!(scheme.tau(), tau);
+        let rows = leaf_rows(d, 40, -10.0, 60.0, u64::from(tau) * 31);
+        let mut queries = leaf_rows(d, 2, -30.0, 90.0, u64::from(tau) * 61);
+        queries.push(rows[5].clone());
+        check_leaves(&scheme, &rows, &queries, "individual");
+    }
+}
+
+/// τ = 32 packs codes at full word-half width, which no histogram reaches
+/// (it would need 2^31 buckets); synthetic codes into a small shared table
+/// check the mask edge against the scalar interval math of
+/// `GlobalScheme::bounds`, dimension by dimension.
+#[test]
+fn packed_bounds_tau_32_bit_identical() {
+    let d = 9;
+    let nb = 24;
+    let real = synth_shared(nb, 5);
+    let q: Vec<f32> = (0..d).map(|j| j as f32 * 0.9 - 3.0).collect();
+    let tables = QueryTables::build(&q, &ScanIntervals::Shared(&real));
+    let mut s = 0x5eed;
+    for n in 1..=17usize {
+        let codes: Vec<Vec<u32>> = (0..n)
+            .map(|_| {
+                (0..d)
+                    .map(|_| (xorshift(&mut s) % nb as u64) as u32)
+                    .collect()
+            })
+            .collect();
+        let mut words = Vec::new();
+        for c in &codes {
+            hc_core::codes::pack_codes(c.iter().copied(), 32, &mut words);
+        }
+        let mut out = Vec::new();
+        tables.packed_bounds(&words, 32, n, &mut out);
+        for (i, c) in codes.iter().enumerate() {
+            let mut acc = hc_core::bounds::BoundsAcc::new();
+            for (j, &code) in c.iter().enumerate() {
+                let (lo, hi) = real[code as usize];
+                acc.add(q[j], lo, hi);
+            }
+            assert_bits_eq(out[i], acc.finish(), &format!("τ=32 n={n} member={i}"));
+        }
+    }
 }

@@ -6,7 +6,7 @@
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use hc_core::dataset::{Dataset, PointId};
 use hc_core::distance::euclidean;
@@ -243,18 +243,24 @@ fn unresponsive_shard_is_declared_dead_with_router_side_candidates() {
         &registry,
     );
 
-    // Wedge shard 1: fill the worker and the queue of both replicas.
+    // Wedge shard 1: fill the worker and the queue of both replicas. The
+    // second request only fits once the worker has taken the first off the
+    // one-slot queue, so wait for that: the first is then still in flight
+    // (stalled on its page reads) but no longer queued.
     let wedge = queries(1).pop().unwrap();
     let mut held = Vec::new();
     for replica in &fleet.shards()[1].replicas {
-        for _ in 0..2 {
-            held.push(
-                replica
-                    .server
-                    .submit(wedge.clone(), 10, None)
-                    .expect("wedge"),
+        let server = &replica.server;
+        held.push(server.submit(wedge.clone(), 10, None).expect("wedge"));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !(server.in_flight() == 1 && server.queue_depth() == 0) {
+            assert!(
+                Instant::now() < deadline,
+                "worker never picked up the first wedge request"
             );
+            std::thread::sleep(Duration::from_micros(200));
         }
+        held.push(server.submit(wedge.clone(), 10, None).expect("wedge"));
     }
 
     let q = &queries(2)[1];

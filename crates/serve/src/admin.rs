@@ -1,8 +1,10 @@
 //! Zero-dependency admin telemetry endpoint.
 //!
 //! [`QueryServer::serve_admin`] binds a `std::net::TcpListener` and spawns
-//! one thread that serves plain HTTP/1.1 (`Connection: close`, one request
-//! per connection — an ops plane, not a data plane). Routes:
+//! an accept thread that hands each connection to its own short-lived
+//! thread serving plain HTTP/1.1 (`Connection: close`, one request per
+//! connection — an ops plane, not a data plane), so a stalled client
+//! cannot delay anyone else's probe. Routes:
 //!
 //! * `GET /metrics` — Prometheus exposition text of the live registry,
 //! * `GET /metrics.json` — the same snapshot as JSON (the report schema),
@@ -196,20 +198,28 @@ fn serve_admin_bound(
 }
 
 fn accept_loop(listener: TcpListener, state: AdminHooks, stop: Arc<AtomicBool>) {
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // Serve inline: admin traffic is a human or a probe, one
-                // request at a time; a hung client can stall it at most
-                // the read timeout.
-                let _ = handle_connection(stream, &state);
+    let state = &state;
+    // The scope joins every connection thread before the loop returns.
+    std::thread::scope(|scope| {
+        while !stop.load(Ordering::Acquire) {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    // Each connection gets its own thread, so a client that
+                    // connects and then stays silent holds only that thread
+                    // (for at most the read timeout), never the accept loop
+                    // and the `/healthz` probes queued behind it. If no
+                    // thread can be started the connection is dropped.
+                    let _ = std::thread::Builder::new()
+                        .name("hc-admin-conn".into())
+                        .spawn_scoped(scope, move || handle_connection(stream, state));
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                Err(_) => std::thread::sleep(Duration::from_millis(5)),
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
-    }
+    });
 }
 
 /// Read the request line (plus whatever headers arrive with it) and route.

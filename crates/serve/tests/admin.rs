@@ -333,3 +333,39 @@ fn healthz_flips_to_503_on_critical_and_recovers() {
     server.shutdown();
     let _ = std::fs::remove_dir_all(&incident_dir);
 }
+
+/// A client that connects and never sends a byte must not delay anyone
+/// else's probe: the endpoint serves each connection on its own thread, so
+/// `/healthz` answers well inside the 500 ms read timeout the silent
+/// connection is holding.
+#[test]
+fn silent_client_does_not_stall_healthz() {
+    let registry = MetricsRegistry::new();
+    let server = QueryServer::start(
+        parts(),
+        shared_cache(),
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+        &registry,
+    );
+    let admin = server.serve_admin("127.0.0.1:0").expect("bind admin");
+    let addr = admin.local_addr();
+    // Connected first, so the listener's FIFO backlog hands it to the
+    // accept loop before any probe below.
+    let silent = TcpStream::connect(addr).expect("connect silent client");
+    for _ in 0..3 {
+        let started = Instant::now();
+        let (status, body) = http_get(addr, "/healthz");
+        let took = started.elapsed();
+        assert_eq!(status, 200, "{body}");
+        assert!(
+            took < Duration::from_millis(200),
+            "/healthz took {took:?} behind a silent client"
+        );
+    }
+    drop(silent);
+    admin.shutdown();
+    server.shutdown();
+}
